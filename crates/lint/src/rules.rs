@@ -9,7 +9,8 @@
 //! | `ct-coverage`     | ct-pinned modules contain at least one ct region          |
 //! | `unsafe-location` | `unsafe` only in allowlisted modules                      |
 //! | `unsafe-comment`  | every `unsafe` preceded by a `// SAFETY:` comment         |
-//! | `hot-alloc`       | no `.invert(`/`Vec::new`/`vec![`/`.to_vec()` in hot path  |
+//! | `hot-alloc`       | no `.invert(`/`Vec::new`/`vec![`/`.to_vec()`/`.to_string()`/ |
+//! |                   | `String::from`/`format!` in a hot-path region             |
 //! | `hot-coverage`    | hot-path modules contain at least one hot-path region     |
 //! | `wall-clock`      | no `Instant::now`/`SystemTime` outside the allowlist      |
 //! | `wire-catchall`   | no fail-open `_ =>` arms in wire-format modules           |
@@ -338,67 +339,61 @@ fn rule_hot(rel: &str, toks: &[Token], out: &mut Vec<Diagnostic>) {
         if !in_region {
             continue;
         }
-        match &t.kind {
-            TokKind::Ident(w) if w == "invert" || w == "to_vec" => {
-                // `.invert(` / `.to_vec(` — method position only.
+        let TokKind::Ident(w) = &t.kind else {
+            continue;
+        };
+        // The next two code tokens, for the `Path::fn` / `macro!` forms.
+        let mut next = toks[i + 1..]
+            .iter()
+            .filter(|t| !matches!(t.kind, TokKind::Comment(_)))
+            .map(|t| &t.kind);
+        let (n1, n2) = (next.next(), next.next());
+        let is = |k: Option<&TokKind>, want: &str| match k {
+            Some(TokKind::Ident(x)) => x == want,
+            Some(TokKind::Punct(p)) => *p == want,
+            _ => false,
+        };
+        let msg = match w.as_str() {
+            // Method position only: `.invert(`, `.to_vec(`, `.to_string(`.
+            "invert" | "to_vec" | "to_string" => {
                 let prev = toks[..i]
                     .iter()
                     .rev()
                     .find(|t| !matches!(t.kind, TokKind::Comment(_)));
-                if matches!(prev.map(|t| &t.kind), Some(TokKind::Punct("."))) {
-                    out.push(Diagnostic {
-                        rule: "hot-alloc",
-                        file: rel.to_string(),
-                        line: t.line,
-                        msg: format!(
-                            "`.{w}(` in a hot-path region: {}",
-                            if w == "invert" {
-                                "per-element inversion breaks the one-inversion-per-batch contract"
-                            } else {
-                                "per-wave allocation; reuse a scratch buffer"
-                            }
-                        ),
-                    });
+                if !matches!(prev.map(|t| &t.kind), Some(TokKind::Punct("."))) {
+                    continue;
                 }
-            }
-            TokKind::Ident(w) if w == "Vec" => {
-                // `Vec::new` / `Vec::with_capacity`.
-                let mut rest = toks[i + 1..]
-                    .iter()
-                    .filter(|t| !matches!(t.kind, TokKind::Comment(_)));
-                if matches!(rest.next().map(|t| &t.kind), Some(TokKind::Punct("::")))
-                    && matches!(
-                        rest.next().map(|t| &t.kind),
-                        Some(TokKind::Ident(m)) if m == "new" || m == "with_capacity"
+                if w == "invert" {
+                    "`.invert(` in a hot-path region: per-element inversion breaks the \
+                     one-inversion-per-batch contract"
+                        .to_string()
+                } else {
+                    format!(
+                        "`.{w}(` in a hot-path region: per-call allocation; reuse a buffer or \
+                         keep a borrowed value"
                     )
-                {
-                    out.push(Diagnostic {
-                        rule: "hot-alloc",
-                        file: rel.to_string(),
-                        line: t.line,
-                        msg: "`Vec` construction in a hot-path region; reuse a scratch buffer"
-                            .to_string(),
-                    });
                 }
             }
-            TokKind::Ident(w) if w == "vec" => {
-                // `vec![`.
-                let mut rest = toks[i + 1..]
-                    .iter()
-                    .filter(|t| !matches!(t.kind, TokKind::Comment(_)));
-                if matches!(rest.next().map(|t| &t.kind), Some(TokKind::Punct("!")))
-                    && matches!(rest.next().map(|t| &t.kind), Some(TokKind::Punct("[")))
-                {
-                    out.push(Diagnostic {
-                        rule: "hot-alloc",
-                        file: rel.to_string(),
-                        line: t.line,
-                        msg: "`vec![…]` in a hot-path region; reuse a scratch buffer".to_string(),
-                    });
-                }
+            "Vec" if is(n1, "::") && (is(n2, "new") || is(n2, "with_capacity")) => {
+                "`Vec` construction in a hot-path region; reuse a scratch buffer".to_string()
             }
-            _ => {}
-        }
+            "String" if is(n1, "::") && is(n2, "from") => {
+                "`String::from` in a hot-path region; keep a `&'static str` instead".to_string()
+            }
+            "vec" if is(n1, "!") && is(n2, "[") => {
+                "`vec![…]` in a hot-path region; reuse a scratch buffer".to_string()
+            }
+            "format" if is(n1, "!") => {
+                "`format!` in a hot-path region allocates a `String` per call".to_string()
+            }
+            _ => continue,
+        };
+        out.push(Diagnostic {
+            rule: "hot-alloc",
+            file: rel.to_string(),
+            line: t.line,
+            msg,
+        });
     }
     if !seen_region {
         out.push(Diagnostic {

@@ -225,6 +225,60 @@ pub fn wave(xs: &[u64]) -> Vec<u64> {
 }
 
 #[test]
+fn hot_path_to_string_fires_hot_alloc() {
+    let src = r#"
+pub fn book(name: &str, log: &mut Vec<String>) {
+    // lint: hot-path
+    log.push(name.to_string());
+    // lint: hot-path-end
+}
+"#;
+    assert_eq!(rules_for("crates/dev/src/hot.rs", src), ["hot-alloc"]);
+}
+
+#[test]
+fn hot_path_string_from_fires_hot_alloc() {
+    let src = r#"
+pub fn book(name: &str) -> String {
+    // lint: hot-path
+    let owned = String::from(name);
+    // lint: hot-path-end
+    owned
+}
+"#;
+    assert_eq!(rules_for("crates/dev/src/hot.rs", src), ["hot-alloc"]);
+}
+
+#[test]
+fn hot_path_format_fires_hot_alloc() {
+    let src = r#"
+pub fn book(blocks: u64) -> String {
+    // lint: hot-path
+    let label = format!("{blocks} blocks");
+    // lint: hot-path-end
+    label
+}
+"#;
+    assert_eq!(rules_for("crates/dev/src/hot.rs", src), ["hot-alloc"]);
+}
+
+#[test]
+fn hot_path_string_lookalikes_pass() {
+    // A `to_string` that is not a method call, a `String` path that does
+    // not allocate, and a non-macro `format` stay legal.
+    let src = r#"
+pub fn book(format: u8, to_string: u8) -> (String, u8) {
+    // lint: hot-path
+    let s = String::new();
+    let n = format + to_string;
+    // lint: hot-path-end
+    (s, n)
+}
+"#;
+    assert_eq!(rules_for("crates/dev/src/hot.rs", src), Vec::<&str>::new());
+}
+
+#[test]
 fn hot_path_reuse_passes() {
     let src = r#"
 pub fn wave(scratch: &mut Vec<u64>, n: usize) {

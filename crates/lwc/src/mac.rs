@@ -7,9 +7,11 @@
 
 use crate::aes::Aes128;
 use crate::cipher::BlockCipher;
-use crate::sha::sha256;
+use crate::sha::{sha256, sha256_concat};
 
-/// HMAC-SHA-256 per RFC 2104 / FIPS 198.
+/// HMAC-SHA-256 per RFC 2104 / FIPS 198. Allocation-free: the padded
+/// keys live on the stack and the inner and outer hashes stream their
+/// two parts instead of concatenating them.
 ///
 /// # Example
 ///
@@ -25,14 +27,8 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
     } else {
         k[..key.len()].copy_from_slice(key);
     }
-    let mut inner = Vec::with_capacity(BLOCK + message.len());
-    inner.extend(k.iter().map(|b| b ^ 0x36));
-    inner.extend_from_slice(message);
-    let inner_hash = sha256(&inner);
-    let mut outer = Vec::with_capacity(BLOCK + 32);
-    outer.extend(k.iter().map(|b| b ^ 0x5c));
-    outer.extend_from_slice(&inner_hash);
-    sha256(&outer)
+    let inner_hash = sha256_concat(&[&k.map(|b| b ^ 0x36), message]);
+    sha256_concat(&[&k.map(|b| b ^ 0x5c), &inner_hash])
 }
 
 /// Constant-time tag comparison (the architecture-level rule that "all

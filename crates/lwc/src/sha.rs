@@ -6,29 +6,32 @@
 //! SHA-256 backs the HMAC used by the protocol layer.
 //!
 //! The 64 SHA-256 round constants and 8 initial values are derived at
-//! startup from their definition (fractional parts of cube/square roots
-//! of the first primes) using exact integer root extraction, eliminating
-//! any transcription risk; the FIPS-180 known-answer tests pin the
-//! result.
+//! compile time (`const fn`) from their definition (fractional parts of
+//! cube/square roots of the first primes) using exact integer root
+//! extraction, eliminating any transcription risk; the FIPS-180
+//! known-answer tests pin the result.
+//!
+//! Both digests stream their input through one 64-byte block buffer, so
+//! hashing (and HMAC, which hashes `key ⊕ pad ‖ message` without
+//! building the concatenation) never touches the heap.
 
 use crate::cipher::HwProfile;
 
-/// Exact integer k-th root helpers (binary search over u128).
-fn iroot(n: u128, k: u32) -> u128 {
+/// Exact integer k-th root (binary search over u128).
+const fn iroot(n: u128, k: u32) -> u128 {
     let mut lo = 0u128;
-    let mut hi = 1u128 << (128 / k + 1).min(127);
+    let mut hi = 1u128 << (128 / k + 1);
     while lo < hi {
         let mid = (lo + hi).div_ceil(2);
         let mut p = 1u128;
         let mut ok = true;
-        for _ in 0..k {
+        let mut i = 0;
+        while ok && i < k {
             match p.checked_mul(mid) {
                 Some(v) => p = v,
-                None => {
-                    ok = false;
-                    break;
-                }
+                None => ok = false,
             }
+            i += 1;
         }
         if ok && p <= n {
             lo = mid;
@@ -39,12 +42,18 @@ fn iroot(n: u128, k: u32) -> u128 {
     lo
 }
 
-fn first_primes(n: usize) -> Vec<u64> {
-    let mut primes = Vec::with_capacity(n);
+const fn first_primes<const N: usize>() -> [u64; N] {
+    let mut primes = [0u64; N];
+    let mut found = 0;
     let mut c = 2u64;
-    while primes.len() < n {
-        if primes.iter().all(|&p| !c.is_multiple_of(p)) {
-            primes.push(c);
+    while found < N {
+        let mut j = 0;
+        while j < found && !c.is_multiple_of(primes[j]) {
+            j += 1;
+        }
+        if j == found {
+            primes[found] = c;
+            found += 1;
         }
         c += 1;
     }
@@ -52,27 +61,117 @@ fn first_primes(n: usize) -> Vec<u64> {
 }
 
 /// frac(cbrt(p)) · 2^32 = floor(cbrt(p·2^96)) mod 2^32.
-fn sha256_round_constants() -> [u32; 64] {
-    let primes = first_primes(64);
-    core::array::from_fn(|i| (iroot((primes[i] as u128) << 96, 3) & 0xffff_ffff) as u32)
+const fn sha256_round_constants() -> [u32; 64] {
+    let primes = first_primes::<64>();
+    let mut k = [0u32; 64];
+    let mut i = 0;
+    while i < 64 {
+        k[i] = (iroot((primes[i] as u128) << 96, 3) & 0xffff_ffff) as u32;
+        i += 1;
+    }
+    k
 }
 
 /// frac(sqrt(p)) · 2^32 = floor(sqrt(p·2^64)) mod 2^32.
-fn sha256_initial_state() -> [u32; 8] {
-    let primes = first_primes(8);
-    core::array::from_fn(|i| (iroot((primes[i] as u128) << 64, 2) & 0xffff_ffff) as u32)
+const fn sha256_initial_state() -> [u32; 8] {
+    let primes = first_primes::<8>();
+    let mut h = [0u32; 8];
+    let mut i = 0;
+    while i < 8 {
+        h[i] = (iroot((primes[i] as u128) << 64, 2) & 0xffff_ffff) as u32;
+        i += 1;
+    }
+    h
 }
 
-fn pad_md(message: &[u8]) -> Vec<u8> {
-    let bit_len = (message.len() as u64) * 8;
-    let mut m = message.to_vec();
-    m.push(0x80);
-    while m.len() % 64 != 56 {
-        m.push(0);
+const K: [u32; 64] = sha256_round_constants();
+const H0: [u32; 8] = sha256_initial_state();
+
+// lint: hot-path — block feeding and compression run for every hash
+// of every session; they work in fixed-size stack state only.
+
+/// Feed the Merkle–Damgård padded concatenation of `parts` (message,
+/// 0x80, zeros, 64-bit big-endian bit length) to `compress` one 64-byte
+/// block at a time.
+fn md_blocks(parts: &[&[u8]], mut compress: impl FnMut(&[u8; 64])) {
+    let mut block = [0u8; 64];
+    let mut fill = 0usize;
+    let mut len = 0u64;
+    for &part in parts {
+        len += part.len() as u64;
+        let mut rest = part;
+        while !rest.is_empty() {
+            let take = rest.len().min(64 - fill);
+            block[fill..fill + take].copy_from_slice(&rest[..take]);
+            fill += take;
+            rest = &rest[take..];
+            if fill == 64 {
+                compress(&block);
+                fill = 0;
+            }
+        }
     }
-    m.extend_from_slice(&bit_len.to_be_bytes());
-    m
+    block[fill] = 0x80;
+    block[fill + 1..].fill(0);
+    if fill >= 56 {
+        compress(&block);
+        block.fill(0);
+    }
+    block[56..].copy_from_slice(&(len * 8).to_be_bytes());
+    compress(&block);
 }
+
+fn sha256_compress(h: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, word) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(word.try_into().expect("4 bytes"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = hh
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        hh = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (hi, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+        *hi = hi.wrapping_add(v);
+    }
+}
+
+/// SHA-256 of the concatenation of `parts`, without materialising it.
+pub(crate) fn sha256_concat(parts: &[&[u8]]) -> [u8; 32] {
+    let mut h = H0;
+    md_blocks(parts, |block| sha256_compress(&mut h, block));
+    let mut out = [0u8; 32];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(h) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+// lint: hot-path-end
 
 /// One-shot SHA-1 digest.
 ///
@@ -90,8 +189,7 @@ pub fn sha1(message: &[u8]) -> [u8; 20] {
         0x1032_5476,
         0xC3D2_E1F0,
     ];
-    let m = pad_md(message);
-    for chunk in m.chunks_exact(64) {
+    md_blocks(&[message], |chunk| {
         let mut w = [0u32; 80];
         for (i, word) in chunk.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(word.try_into().expect("4 bytes"));
@@ -124,7 +222,7 @@ pub fn sha1(message: &[u8]) -> [u8; 20] {
         h[2] = h[2].wrapping_add(c);
         h[3] = h[3].wrapping_add(d);
         h[4] = h[4].wrapping_add(e);
-    }
+    });
     let mut out = [0u8; 20];
     for (i, word) in h.iter().enumerate() {
         out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -141,53 +239,7 @@ pub fn sha1(message: &[u8]) -> [u8; 20] {
 /// assert_eq!(d[..4], [0xba, 0x78, 0x16, 0xbf]);
 /// ```
 pub fn sha256(message: &[u8]) -> [u8; 32] {
-    let k = sha256_round_constants();
-    let mut h = sha256_initial_state();
-    let m = pad_md(message);
-    for chunk in m.chunks_exact(64) {
-        let mut w = [0u32; 64];
-        for (i, word) in chunk.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(word.try_into().expect("4 bytes"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let (mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh) =
-            (h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7]);
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = hh
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(k[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (hi, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-            *hi = hi.wrapping_add(v);
-        }
-    }
-    let mut out = [0u8; 32];
-    for (i, word) in h.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
+    sha256_concat(&[message])
 }
 
 /// Hardware profile of the paper's cited SHA-1 core: 5 527 GE (O'Neill,
@@ -250,6 +302,26 @@ mod tests {
             )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
+    }
+
+    #[test]
+    fn sha256_fips180_million_a() {
+        assert_eq!(
+            hex(&sha256(&vec![b'a'; 1_000_000])),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        );
+    }
+
+    #[test]
+    fn concat_matches_contiguous_at_every_split() {
+        let data: Vec<u8> = (0..=200u8).collect();
+        for len in [0, 1, 55, 56, 63, 64, 65, 119, 128, 200] {
+            let whole = sha256(&data[..len]);
+            for cut in 0..=len {
+                let (a, b) = data[..len].split_at(cut);
+                assert_eq!(sha256_concat(&[a, b]), whole, "len {len} cut {cut}");
+            }
+        }
     }
 
     #[test]

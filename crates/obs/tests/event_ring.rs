@@ -4,29 +4,45 @@
 //! overwritten event as dropped — even under concurrent writers.
 //!
 //! The no-allocation property is enforced with a counting global
-//! allocator: every heap allocation in this test binary bumps an
-//! atomic, and the test asserts the count is unchanged across a
-//! multi-thread logging storm. "Never blocks" is structural (the ring
+//! allocator: every heap allocation bumps a `const`-initialised
+//! thread-local counter, and each measuring thread asserts its own
+//! count is unchanged across its logging loop. Counting per thread keeps
+//! the other tests' thread spawns (the harness runs tests in parallel)
+//! out of the measurement windows. "Never blocks" is structural (the ring
 //! is atomics-only — there is no lock to block on), witnessed here by
 //! concurrent writers making progress to an exact total.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
 use medsec_obs::{Event, EventKind, EventLog, ALL_EVENT_KINDS};
 
-/// System allocator wrapper that counts allocations.
+/// System allocator wrapper that counts allocations per thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: allocations during thread teardown go uncounted
+    // instead of panicking inside the allocator.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 // Test-binary-only instrumentation; the obs library itself is
 // `#![deny(unsafe_code)]`.
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.alloc(layout) }
     }
 
@@ -35,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,18 +60,30 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
+fn counter_sees_this_threads_allocations() {
+    let before = allocs();
+    let v = std::hint::black_box(vec![0u8; 32]);
+    assert_eq!(
+        allocs() - before,
+        1,
+        "the counting allocator is not counting"
+    );
+    drop(v);
+}
+
+#[test]
 fn logging_never_allocates_after_warmup() {
     // Warm-up: construct the ring (this is where all allocation is
     // allowed to happen).
     let log = EventLog::new(256);
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
 
     for i in 0..10_000u32 {
         let kind = ALL_EVENT_KINDS[(i as usize) % ALL_EVENT_KINDS.len()];
         log.log(Event::new(kind, (i % 5) as u8, i, u64::from(i) * 3));
     }
 
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert_eq!(after - before, 0, "EventLog::log allocated on the hot path");
     assert_eq!(log.logged(), 10_000);
     assert_eq!(log.dropped(), 10_000 - 256);
@@ -112,27 +140,26 @@ fn concurrent_writers_never_lose_or_tear_events() {
 #[test]
 fn concurrent_writers_do_not_allocate() {
     let log = EventLog::new(64);
-    // Spawning threads allocates; measure only inside the workers and
-    // fold the per-worker delta through the shared counter *after*
-    // each worker finishes its loop.
+    // Spawning threads allocates; measure only inside the workers (each
+    // reads its own thread's counter) and fold the per-worker deltas
+    // through a shared sum *after* each worker finishes its loop.
     let inner_allocs = AtomicU64::new(0);
     thread::scope(|s| {
         for w in 0..4u8 {
             let log = &log;
             let inner = &inner_allocs;
             s.spawn(move || {
-                let before = ALLOCS.load(Ordering::SeqCst);
+                let before = allocs();
                 for i in 0..2_000u32 {
                     log.log(Event::new(EventKind::AuthFailure, w, i, 0));
                 }
-                let after = ALLOCS.load(Ordering::SeqCst);
+                let after = allocs();
                 inner.fetch_add(after - before, Ordering::SeqCst);
             });
         }
     });
-    // The global counter is shared across threads, so only assert the
-    // single-threaded-quiet case strictly: with all writers doing only
-    // `log()`, nobody allocates, so every per-worker delta is zero.
+    // With all writers doing only `log()`, nobody allocates, so every
+    // per-worker delta is zero.
     assert_eq!(
         inner_allocs.load(Ordering::SeqCst),
         0,

@@ -1,61 +1,17 @@
 //! Per-party energy ledgers — the bookkeeping behind the paper's
 //! protocol-level rules: minimize device computation, minimize
 //! communication, and avoid useless computation (§4).
+//!
+//! A ledger prices each booked operation (point multiplication,
+//! symmetric blocks, radio tx/rx) as it arrives and keeps only running
+//! sums: total joules, compute joules and bytes on air. Each sum is
+//! added in booking order starting from `-0.0`, the same left-to-right
+//! fold `Iterator::sum` performs, so the totals are bit-identical to
+//! summing a per-operation event list, at a constant size per ledger.
 
 use medsec_lwc::HwProfile;
 use medsec_power::{EnergyReport, RadioModel};
 use serde::{Deserialize, Serialize};
-
-/// A single accounted event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum LedgerEvent {
-    /// A point multiplication on the ECC co-processor.
-    PointMul {
-        /// Energy in joules.
-        joules: f64,
-    },
-    /// Symmetric primitive execution.
-    Symmetric {
-        /// Primitive name.
-        name: String,
-        /// Blocks processed.
-        blocks: u64,
-        /// Energy in joules.
-        joules: f64,
-    },
-    /// Radio transmission.
-    Tx {
-        /// Payload bytes.
-        bytes: usize,
-        /// Energy in joules.
-        joules: f64,
-    },
-    /// Radio reception.
-    Rx {
-        /// Payload bytes.
-        bytes: usize,
-        /// Energy in joules.
-        joules: f64,
-    },
-}
-
-impl LedgerEvent {
-    fn joules(&self) -> f64 {
-        match self {
-            LedgerEvent::PointMul { joules }
-            | LedgerEvent::Symmetric { joules, .. }
-            | LedgerEvent::Tx { joules, .. }
-            | LedgerEvent::Rx { joules, .. } => *joules,
-        }
-    }
-
-    fn is_compute(&self) -> bool {
-        matches!(
-            self,
-            LedgerEvent::PointMul { .. } | LedgerEvent::Symmetric { .. }
-        )
-    }
-}
 
 /// Energy account of one protocol party.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -68,7 +24,12 @@ pub struct EnergyLedger {
     radio: RadioModel,
     /// Link distance in meters.
     distance_m: f64,
-    events: Vec<LedgerEvent>,
+    /// Joules of every booked operation, in booking order.
+    total_j: f64,
+    /// Joules of the computation (point-mul and symmetric) operations.
+    compute_j: f64,
+    /// Bytes sent + received.
+    bytes_on_air: usize,
 }
 
 impl EnergyLedger {
@@ -81,59 +42,62 @@ impl EnergyLedger {
             symmetric_scale: 4.7e-15,
             radio,
             distance_m,
-            events: Vec::new(),
+            total_j: -0.0,
+            compute_j: -0.0,
+            bytes_on_air: 0,
         }
     }
 
+    // lint: hot-path — booking runs for every operation of every
+    // session; it only adds to the running sums.
+
     /// Record one ECC point multiplication.
     pub fn point_mul(&mut self) {
-        self.events.push(LedgerEvent::PointMul {
-            joules: self.ecpm.energy_j,
-        });
+        self.book_compute(self.ecpm.energy_j);
     }
 
     /// Record `blocks` invocations of a symmetric primitive with the
-    /// given hardware profile.
-    pub fn symmetric(&mut self, name: &str, profile: &HwProfile, blocks: u64) {
-        let joules = profile.gate_equivalents as f64
-            * profile.cycles_per_block as f64
-            * blocks as f64
-            * self.symmetric_scale;
-        self.events.push(LedgerEvent::Symmetric {
-            name: name.to_string(),
-            blocks,
-            joules,
-        });
+    /// given hardware profile. The name labels the call site; the
+    /// ledger keeps no per-operation record.
+    pub fn symmetric(&mut self, _name: &str, profile: &HwProfile, blocks: u64) {
+        self.book_compute(
+            profile.gate_equivalents as f64
+                * profile.cycles_per_block as f64
+                * blocks as f64
+                * self.symmetric_scale,
+        );
     }
 
     /// Record a transmission of `bytes`.
     pub fn tx(&mut self, bytes: usize) {
-        self.events.push(LedgerEvent::Tx {
-            bytes,
-            joules: self.radio.tx_energy(bytes, self.distance_m),
-        });
+        self.book_radio(bytes, self.radio.tx_energy(bytes, self.distance_m));
     }
 
     /// Record a reception of `bytes`.
     pub fn rx(&mut self, bytes: usize) {
-        self.events.push(LedgerEvent::Rx {
-            bytes,
-            joules: self.radio.rx_energy(bytes),
-        });
+        self.book_radio(bytes, self.radio.rx_energy(bytes));
+    }
+
+    fn book_compute(&mut self, joules: f64) {
+        self.total_j += joules;
+        self.compute_j += joules;
+    }
+
+    fn book_radio(&mut self, bytes: usize, joules: f64) {
+        self.total_j += joules;
+        self.bytes_on_air += bytes;
     }
 
     /// Total energy spent, joules.
     pub fn total(&self) -> f64 {
-        self.events.iter().map(LedgerEvent::joules).sum()
+        self.total_j
     }
+
+    // lint: hot-path-end
 
     /// Computation-only energy, joules.
     pub fn compute(&self) -> f64 {
-        self.events
-            .iter()
-            .filter(|e| e.is_compute())
-            .map(LedgerEvent::joules)
-            .sum()
+        self.compute_j
     }
 
     /// Communication-only energy, joules.
@@ -143,23 +107,14 @@ impl EnergyLedger {
 
     /// Bytes sent + received.
     pub fn bytes_on_air(&self) -> usize {
-        self.events
-            .iter()
-            .map(|e| match e {
-                LedgerEvent::Tx { bytes, .. } | LedgerEvent::Rx { bytes, .. } => *bytes,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// All recorded events, in order.
-    pub fn events(&self) -> &[LedgerEvent] {
-        &self.events
+        self.bytes_on_air
     }
 
     /// Clear the account (start of a new session).
     pub fn reset(&mut self) {
-        self.events.clear();
+        self.total_j = -0.0;
+        self.compute_j = -0.0;
+        self.bytes_on_air = 0;
     }
 }
 
@@ -206,8 +161,14 @@ mod tests {
         l.rx(20);
         l.point_mul();
         assert_eq!(l.bytes_on_air(), 30);
-        assert_eq!(l.events().len(), 3);
+        // Exactly these three operations, each at its own price.
+        let radio = RadioModel::first_order_default();
+        let (tx, rx, pm) = (radio.tx_energy(10, 1.0), radio.rx_energy(20), 5.1e-6);
+        assert_eq!(l.total().to_bits(), (-0.0 + tx + rx + pm).to_bits());
+        assert_eq!(l.compute().to_bits(), (-0.0 + pm).to_bits());
         l.reset();
-        assert_eq!(l.total(), 0.0);
+        assert_eq!(l.total().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(l.compute().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(l.bytes_on_air(), 0);
     }
 }

@@ -36,7 +36,7 @@ pub mod symmetric;
 pub mod wire;
 
 pub use ecdsa::{ecdsa_verify, EcdsaKey, EcdsaSignature};
-pub use energy::{EnergyLedger, LedgerEvent};
+pub use energy::EnergyLedger;
 pub use peeters_hermans::{PhReader, PhTag, PhTranscript, TagId};
 pub use privacy::{ph_tracking_game, schnorr_tracking_game, symmetric_tracking_game, GameResult};
 pub use schnorr::{
