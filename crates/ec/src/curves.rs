@@ -30,8 +30,10 @@ use crate::scalar::parse_hex_limbs;
 pub struct K163;
 
 impl K163 {
-    const GX: &'static str = "2fe13c0537bbc11acaa07d793de4e6d5e5c94eee8";
-    const GY: &'static str = "289070fb05d38ff58321f2e800536d538ccdaa3d9";
+    const GX: Element<F163> =
+        Element::from_canonical_limbs(parse_hex_limbs("2fe13c0537bbc11acaa07d793de4e6d5e5c94eee8"));
+    const GY: Element<F163> =
+        Element::from_canonical_limbs(parse_hex_limbs("289070fb05d38ff58321f2e800536d538ccdaa3d9"));
 }
 
 impl CurveSpec for K163 {
@@ -50,10 +52,7 @@ impl CurveSpec for K163 {
     }
 
     fn generator() -> Point<Self> {
-        Point::from_xy_unchecked(
-            Element::from_hex(Self::GX).expect("static constant"),
-            Element::from_hex(Self::GY).expect("static constant"),
-        )
+        Point::from_xy_unchecked(Self::GX, Self::GY)
     }
 }
 
@@ -62,9 +61,12 @@ impl CurveSpec for K163 {
 pub struct B163;
 
 impl B163 {
-    const B: &'static str = "20a601907b8c953ca1481eb10512f78744a3205fd";
-    const GX: &'static str = "3f0eba16286a2d57ea0991168d4994637e8343e36";
-    const GY: &'static str = "0d51fbc6c71a0094fa2cdd545b11c5c0c797324f1";
+    const B: Element<F163> =
+        Element::from_canonical_limbs(parse_hex_limbs("20a601907b8c953ca1481eb10512f78744a3205fd"));
+    const GX: Element<F163> =
+        Element::from_canonical_limbs(parse_hex_limbs("3f0eba16286a2d57ea0991168d4994637e8343e36"));
+    const GY: Element<F163> =
+        Element::from_canonical_limbs(parse_hex_limbs("0d51fbc6c71a0094fa2cdd545b11c5c0c797324f1"));
 }
 
 impl CurveSpec for B163 {
@@ -79,14 +81,11 @@ impl CurveSpec for B163 {
     }
 
     fn b() -> Element<F163> {
-        Element::from_hex(Self::B).expect("static constant")
+        Self::B
     }
 
     fn generator() -> Point<Self> {
-        Point::from_xy_unchecked(
-            Element::from_hex(Self::GX).expect("static constant"),
-            Element::from_hex(Self::GY).expect("static constant"),
-        )
+        Point::from_xy_unchecked(Self::GX, Self::GY)
     }
 }
 
@@ -96,8 +95,12 @@ impl CurveSpec for B163 {
 pub struct K233;
 
 impl K233 {
-    const GX: &'static str = "17232ba853a7e731af129f22ff4149563a419c26bf50a4c9d6eefad6126";
-    const GY: &'static str = "1db537dece819b7f70f555a67c427a8cd9bf18aeb9b56e0c11056fae6a3";
+    const GX: Element<F233> = Element::from_canonical_limbs(parse_hex_limbs(
+        "17232ba853a7e731af129f22ff4149563a419c26bf50a4c9d6eefad6126",
+    ));
+    const GY: Element<F233> = Element::from_canonical_limbs(parse_hex_limbs(
+        "1db537dece819b7f70f555a67c427a8cd9bf18aeb9b56e0c11056fae6a3",
+    ));
 }
 
 impl CurveSpec for K233 {
@@ -117,10 +120,7 @@ impl CurveSpec for K233 {
     }
 
     fn generator() -> Point<Self> {
-        Point::from_xy_unchecked(
-            Element::from_hex(Self::GX).expect("static constant"),
-            Element::from_hex(Self::GY).expect("static constant"),
-        )
+        Point::from_xy_unchecked(Self::GX, Self::GY)
     }
 }
 
@@ -132,10 +132,12 @@ impl CurveSpec for K233 {
 pub struct K283;
 
 impl K283 {
-    const GX: &'static str =
-        "503213f78ca44883f1a3b8162f188e553cd265f23c1567a16876913b0c2ac2458492836";
-    const GY: &'static str =
-        "1ccda380f1c9e318d90f95d07e5426fe87e45c0e8184698e45962364e34116177dd2259";
+    const GX: Element<F283> = Element::from_canonical_limbs(parse_hex_limbs(
+        "503213f78ca44883f1a3b8162f188e553cd265f23c1567a16876913b0c2ac2458492836",
+    ));
+    const GY: Element<F283> = Element::from_canonical_limbs(parse_hex_limbs(
+        "1ccda380f1c9e318d90f95d07e5426fe87e45c0e8184698e45962364e34116177dd2259",
+    ));
 }
 
 impl CurveSpec for K283 {
@@ -156,10 +158,7 @@ impl CurveSpec for K283 {
     }
 
     fn generator() -> Point<Self> {
-        Point::from_xy_unchecked(
-            Element::from_hex(Self::GX).expect("static constant"),
-            Element::from_hex(Self::GY).expect("static constant"),
-        )
+        Point::from_xy_unchecked(Self::GX, Self::GY)
     }
 }
 
@@ -168,6 +167,11 @@ impl CurveSpec for K283 {
 /// G = (0xaaad, 0x5b2b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Toy17;
+
+impl Toy17 {
+    const GX: Element<F17> = Element::from_canonical_limbs(parse_hex_limbs("aaad"));
+    const GY: Element<F17> = Element::from_canonical_limbs(parse_hex_limbs("5b2b"));
+}
 
 impl CurveSpec for Toy17 {
     type Field = F17;
@@ -185,7 +189,7 @@ impl CurveSpec for Toy17 {
     }
 
     fn generator() -> Point<Self> {
-        Point::from_xy_unchecked(Element::from_u64(0xaaad), Element::from_u64(0x5b2b))
+        Point::from_xy_unchecked(Self::GX, Self::GY)
     }
 }
 
@@ -210,6 +214,44 @@ mod tests {
         assert_eq!(msb(&K233::ORDER), 232);
         assert_eq!(msb(&K283::ORDER), 281);
         assert_eq!(msb(&Toy17::ORDER), 17);
+    }
+
+    /// Every compile-time parameter equals its published hex string
+    /// (SEC 2 for the NIST curves), parsed at run time.
+    #[test]
+    fn constants_match_their_hex_strings() {
+        fn pin<C: CurveSpec>(a: &str, b: &str, gx: &str, gy: &str) {
+            let hex = |s: &str| Element::<C::Field>::from_hex(s).expect("valid hex");
+            assert_eq!(C::a(), hex(a), "{} a", C::NAME);
+            assert_eq!(C::b(), hex(b), "{} b", C::NAME);
+            assert_eq!(C::generator().x(), Some(hex(gx)), "{} Gx", C::NAME);
+            assert_eq!(C::generator().y(), Some(hex(gy)), "{} Gy", C::NAME);
+        }
+        pin::<K163>(
+            "1",
+            "1",
+            "2fe13c0537bbc11acaa07d793de4e6d5e5c94eee8",
+            "289070fb05d38ff58321f2e800536d538ccdaa3d9",
+        );
+        pin::<B163>(
+            "1",
+            "20a601907b8c953ca1481eb10512f78744a3205fd",
+            "3f0eba16286a2d57ea0991168d4994637e8343e36",
+            "0d51fbc6c71a0094fa2cdd545b11c5c0c797324f1",
+        );
+        pin::<K233>(
+            "0",
+            "1",
+            "17232ba853a7e731af129f22ff4149563a419c26bf50a4c9d6eefad6126",
+            "1db537dece819b7f70f555a67c427a8cd9bf18aeb9b56e0c11056fae6a3",
+        );
+        pin::<K283>(
+            "0",
+            "1",
+            "503213f78ca44883f1a3b8162f188e553cd265f23c1567a16876913b0c2ac2458492836",
+            "1ccda380f1c9e318d90f95d07e5426fe87e45c0e8184698e45962364e34116177dd2259",
+        );
+        pin::<Toy17>("1", "1", "aaad", "5b2b");
     }
 
     #[test]

@@ -10,13 +10,17 @@
 //!   this path; its per-cycle states never change.
 //! * [`FastBackend`] — the portable serving path: word-bounded comb
 //!   multiplication (only `ceil(m/64)` limbs do work), compile-time
-//!   squaring-spread tables, and word-level sparse-polynomial reduction.
-//! * [`ClmulBackend`] — the scalar hardware path: `PCLMULQDQ`
-//!   carry-less 64×64→128 multiplies under a word-level Karatsuba
-//!   (see [`crate::clmul`]), feeding the same word-level sparse
-//!   reduction. Runtime-detected; on hosts without the instruction it
-//!   falls back to a portable shift-and-add schoolbook, so the backend
-//!   is *correct* everywhere and *fast* where the silicon allows.
+//!   squaring-spread tables, and the word-level sparse reduction
+//!   `limbs::reduce_fast`, generic over the field so every tap is a
+//!   compile-time constant and the fold runs on a fixed schedule (no
+//!   operand-dependent loop).
+//! * [`ClmulBackend`] — the scalar hardware path: each mul/square is a
+//!   single `#[target_feature]` call that runs the `PCLMULQDQ`
+//!   word-level Karatsuba *and* that same reduction, both inlined at
+//!   the field's constant width (see [`crate::clmul`]). Runtime-detected;
+//!   on hosts without the instruction it falls back to the
+//!   [`FastBackend`] kernel, so the backend is *correct* everywhere and
+//!   *fast* where the silicon allows.
 //! * [`VpclmulBackend`] — the wide hardware path: scalar ops ride
 //!   CLMUL, but the batch entry points multiply four elements per
 //!   AVX-512 `VPCLMULQDQ` instruction over the plane-major SoA layout
@@ -103,7 +107,7 @@ pub trait FieldBackend {
     /// all backends — the plane-wise transpose of the word-level
     /// reduction (see [`batch::reduce_planes`]); `prod` is clobbered.
     fn reduce_batch<F: FieldSpec>(prod: &mut [u64], out: &mut [u64]) {
-        batch::reduce_planes(prod, out, F::REDUCTION);
+        batch::reduce_planes::<F>(prod, out);
     }
 }
 
@@ -136,13 +140,13 @@ impl FieldBackend for FastBackend {
     fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F> {
         let nw = F::M.div_ceil(64);
         let prod = limbs::clmul_fast(a.limbs(), b.limbs(), nw);
-        Element::from_raw_limbs(limbs::reduce_fast(prod, F::REDUCTION))
+        Element::from_raw_limbs(limbs::reduce_fast::<F>(prod))
     }
 
     fn square<F: FieldSpec>(a: &Element<F>) -> Element<F> {
         let nw = F::M.div_ceil(64);
         let prod = limbs::clsquare_fast(a.limbs(), nw);
-        Element::from_raw_limbs(limbs::reduce_fast(prod, F::REDUCTION))
+        Element::from_raw_limbs(limbs::reduce_fast::<F>(prod))
     }
 
     /// Itoh–Tsujii with the squaring *runs* collapsed into cached
@@ -155,9 +159,9 @@ impl FieldBackend for FastBackend {
     }
 }
 
-/// Hardware carry-less-multiply backend: `PCLMULQDQ` Karatsuba products
-/// (portable shift-and-add on non-CLMUL hosts — see [`crate::clmul`])
-/// with the fast path's word-level sparse reduction and multi-squaring
+/// Hardware carry-less-multiply backend: one fused `PCLMULQDQ`
+/// Karatsuba multiply-and-reduce call per field op (the fast comb on
+/// non-CLMUL hosts — see [`crate::clmul`]) and multi-squaring
 /// inversions.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClmulBackend;
@@ -165,16 +169,14 @@ pub struct ClmulBackend;
 impl FieldBackend for ClmulBackend {
     const NAME: &'static str = "clmul";
 
+    #[inline]
     fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F> {
-        let nw = F::M.div_ceil(64);
-        let prod = crate::clmul::clmul_accel(a.limbs(), b.limbs(), nw);
-        Element::from_raw_limbs(limbs::reduce_fast(prod, F::REDUCTION))
+        crate::clmul::mul(a, b)
     }
 
+    #[inline]
     fn square<F: FieldSpec>(a: &Element<F>) -> Element<F> {
-        let nw = F::M.div_ceil(64);
-        let prod = crate::clmul::clsquare_accel(a.limbs(), nw);
-        Element::from_raw_limbs(limbs::reduce_fast(prod, F::REDUCTION))
+        crate::clmul::square(a)
     }
 
     /// Multi-squaring-table Itoh–Tsujii over the CLMUL primitives (same

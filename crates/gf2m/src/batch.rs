@@ -183,13 +183,14 @@ pub fn add_planes(dst: &mut Planes, src: &Planes) {
 /// NIST fields here). Fields denser than that (the toy `F17`) take a
 /// per-element scalar pass instead — correctness everywhere, vector
 /// speed where the field shape allows.
-pub fn reduce_planes(prod: &mut [u64], out: &mut [u64], reduction: &[usize]) {
+pub fn reduce_planes<F: FieldSpec>(prod: &mut [u64], out: &mut [u64]) {
     // lint: hot-path — plane folds work in caller-owned buffers; the
     // refolding fallback uses a fixed stack array per element.
     let n = out.len() / LIMBS;
     debug_assert_eq!(out.len(), LIMBS * n);
     debug_assert_eq!(prod.len(), PROD_LIMBS * n);
-    let m = reduction[0];
+    let reduction = F::REDUCTION;
+    let m = F::M;
     if m < 64 + reduction[1] {
         // Refolding field: bits can fold back into their own plane, so
         // run the word-level scalar reduction per element.
@@ -198,7 +199,7 @@ pub fn reduce_planes(prod: &mut [u64], out: &mut [u64], reduction: &[usize]) {
             for (j, w) in p.iter_mut().enumerate() {
                 *w = prod[j * n + i];
             }
-            let r = limbs::reduce_fast(p, reduction);
+            let r = limbs::reduce_fast::<F>(p);
             for (j, w) in r.iter().enumerate() {
                 out[j * n + i] = *w;
             }
@@ -308,9 +309,9 @@ mod tests {
                 }
             }
             let mut out = vec![0u64; LIMBS * n];
-            reduce_planes(&mut planes, &mut out, F::REDUCTION);
+            reduce_planes::<F>(&mut planes, &mut out);
             for (i, p) in prods.iter().enumerate() {
-                let expect = limbs::reduce_fast(*p, F::REDUCTION);
+                let expect = limbs::reduce_fast::<F>(*p);
                 let got = gather::<F>(&out, n, i);
                 assert_eq!(got.limbs(), &expect, "n={n} i={i}");
             }

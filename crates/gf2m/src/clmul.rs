@@ -3,29 +3,36 @@
 //! The paper's MALU is small *because* GF(2^m) multiplication is
 //! carry-free; on the gateway side the same property means one x86
 //! `PCLMULQDQ` instruction replaces an entire 64×64 windowed-comb pass.
-//! This module provides the wide (unreduced) products the
-//! [`ClmulBackend`](crate::ClmulBackend) feeds into the existing
-//! word-level sparse reduction:
+//! This module is the [`ClmulBackend`](crate::ClmulBackend)'s field
+//! multiply and square, each **one fused call per field op**:
 //!
 //! * on x86_64 with the `pclmulqdq` CPU feature (runtime-detected, no
-//!   compile-time flags), a word-level **Karatsuba** over
-//!   `_mm_clmulepi64_si128`: 1/3/7/9/17 carry-less multiplies for
-//!   operand widths 1–5 words instead of the schoolbook 1/4/9/16/25;
-//! * everywhere else, a portable shift-and-add u64 schoolbook, so
-//!   non-x86 builds (and x86 CPUs without CLMUL) stay correct — merely
-//!   slower, which the auto-selection in [`crate::backend`] accounts
-//!   for by preferring [`FastBackend`](crate::FastBackend) when the
-//!   hardware path is absent.
+//!   compile-time flags), a single `#[target_feature]` function per
+//!   field and op runs a word-level **Karatsuba** over
+//!   `_mm_clmulepi64_si128` (1/3/7/9/17 carry-less multiplies for
+//!   operand widths 1–5 words instead of the schoolbook 1/4/9/16/25)
+//!   *and* the fixed-schedule sparse reduction
+//!   ([`limbs::reduce_fast`](crate::limbs)). Both inline into that one
+//!   function, generic over the field, so the word width `⌈m/64⌉` and
+//!   every reduction tap are compile-time constants and the ten-word
+//!   product is never returned through memory;
+//! * everywhere else, the [`FastBackend`](crate::FastBackend)'s
+//!   portable comb with the same reduction, so non-x86 builds (and x86
+//!   CPUs without CLMUL) stay correct — merely slower, which the
+//!   auto-selection in [`crate::backend`] accounts for by preferring
+//!   the bitsliced backend when the hardware path is absent.
 //!
-//! Everything here produces bit-identical products to
-//! [`limbs::clmul`](crate::limbs) — the backend-equivalence suite pins
-//! the whole stack against the model path on every field.
+//! Every result is bit-identical to the
+//! [`ModelBackend`](crate::ModelBackend) — the backend-equivalence suite
+//! pins both paths against the model on every field, down to each
+//! basis product x^i, i ≤ 2m − 2.
 
 // The only unsafe code in this crate: calling the CPU-feature-gated
 // intrinsic path after `is_x86_feature_detected!` has proven it safe.
 #![allow(unsafe_code)]
 
-use crate::{LIMBS, PROD_LIMBS};
+use crate::backend::{FastBackend, FieldBackend};
+use crate::field::{Element, FieldSpec};
 
 /// Whether the host CPU offers the hardware carry-less-multiply path
 /// (`PCLMULQDQ` on x86_64). Always `false` on other architectures.
@@ -40,79 +47,45 @@ pub fn hardware_available() -> bool {
     }
 }
 
-/// Carry-less multiplication over the low `nw` words of each operand,
-/// through the hardware path when available and the portable
-/// shift-and-add fallback otherwise.
+/// Field multiplication: the fused `PCLMULQDQ` multiply-and-reduce when
+/// the CPU has it, the portable fast comb otherwise.
 #[inline]
-pub(crate) fn clmul_accel(a: &[u64; LIMBS], b: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
-    debug_assert!((1..=LIMBS).contains(&nw));
+pub(crate) fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F> {
     #[cfg(target_arch = "x86_64")]
     if hardware_available() {
         // SAFETY: `pclmulqdq` was just detected on this CPU.
-        return unsafe { x86::clmul_wide(a, b, nw) };
+        return unsafe { x86::mul(a, b) };
     }
-    clmul_wide_portable(a, b, nw)
+    FastBackend::mul(a, b)
 }
 
-/// Carry-less squaring over the low `nw` words — one `PCLMULQDQ` per
-/// word on the hardware path (squaring never crosses word boundaries).
+/// Field squaring: one `PCLMULQDQ` per word (squaring never crosses
+/// word boundaries) fused with the reduction, or the portable
+/// spread-table square.
 #[inline]
-pub(crate) fn clsquare_accel(a: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
-    debug_assert!((1..=LIMBS).contains(&nw));
+pub(crate) fn square<F: FieldSpec>(a: &Element<F>) -> Element<F> {
     #[cfg(target_arch = "x86_64")]
     if hardware_available() {
         // SAFETY: `pclmulqdq` was just detected on this CPU.
-        return unsafe { x86::clsquare_wide(a, nw) };
+        return unsafe { x86::square(a) };
     }
-    let mut out = [0u64; PROD_LIMBS];
-    for i in 0..nw {
-        let (lo, hi) = cl_portable(a[i], a[i]);
-        out[2 * i] = lo;
-        out[2 * i + 1] = hi;
-    }
-    out
+    FastBackend::square(a)
 }
 
-/// Portable 64×64→128 carry-less multiply: shift-and-add over the set
-/// bits of `y`. The fallback primitive behind [`clmul_accel`] on
-/// non-CLMUL hosts.
-fn cl_portable(x: u64, y: u64) -> (u64, u64) {
-    let mut lo = 0u64;
-    let mut hi = 0u64;
-    let mut rest = y;
-    while rest != 0 {
-        let i = rest.trailing_zeros();
-        rest &= rest - 1;
-        lo ^= x << i;
-        if i != 0 {
-            hi ^= x >> (64 - i);
-        }
-    }
-    (lo, hi)
-}
-
-/// Portable word-level schoolbook over [`cl_portable`].
-fn clmul_wide_portable(a: &[u64; LIMBS], b: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
-    let mut out = [0u64; PROD_LIMBS];
-    for i in 0..nw {
-        for (j, &bw) in b.iter().enumerate().take(nw) {
-            let (lo, hi) = cl_portable(a[i], bw);
-            out[i + j] ^= lo;
-            out[i + j + 1] ^= hi;
-        }
-    }
-    out
-}
-
-/// The x86_64 `PCLMULQDQ` path: word-level Karatsuba, each helper
-/// compiled with the feature enabled so the intrinsics inline into one
-/// straight-line block per operand width.
+/// The x86_64 `PCLMULQDQ` path: word-level Karatsuba plus reduction.
+/// Only `cl` and the two fused entry points carry the feature; the
+/// Karatsuba helpers are `#[inline(always)]` without it (a
+/// `#[target_feature]` function cannot be forced inline), so they
+/// dissolve into the fused kernels, where `cl` then inlines inside the
+/// feature region — one straight-line block per field and op.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::{
         _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_set_epi64x, _mm_srli_si128,
     };
 
+    use crate::field::{Element, FieldSpec};
+    use crate::limbs;
     use crate::{LIMBS, PROD_LIMBS};
 
     /// One 64×64→128 carry-less multiply.
@@ -127,9 +100,12 @@ mod x86 {
     }
 
     /// 2×2-word Karatsuba: 3 multiplies instead of 4.
-    #[inline]
-    #[target_feature(enable = "pclmulqdq")]
-    fn m2(a0: u64, a1: u64, b0: u64, b1: u64) -> [u64; 4] {
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq`.
+    #[inline(always)]
+    unsafe fn m2(a0: u64, a1: u64, b0: u64, b1: u64) -> [u64; 4] {
         let (p0l, p0h) = cl(a0, b0);
         let (p1l, p1h) = cl(a1, b1);
         let (pml, pmh) = cl(a0 ^ a1, b0 ^ b1);
@@ -137,9 +113,12 @@ mod x86 {
     }
 
     /// 3×3 words, split (2, 1): 7 multiplies instead of 9.
-    #[inline]
-    #[target_feature(enable = "pclmulqdq")]
-    fn m3(a: &[u64], b: &[u64]) -> [u64; 6] {
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq`.
+    #[inline(always)]
+    unsafe fn m3(a: &[u64], b: &[u64]) -> [u64; 6] {
         let p0 = m2(a[0], a[1], b[0], b[1]);
         let (p1l, p1h) = cl(a[2], b[2]);
         let pm = m2(a[0] ^ a[2], a[1], b[0] ^ b[2], b[1]);
@@ -152,9 +131,12 @@ mod x86 {
     }
 
     /// 4×4 words, split (2, 2): 9 multiplies instead of 16.
-    #[inline]
-    #[target_feature(enable = "pclmulqdq")]
-    fn m4(a: &[u64], b: &[u64]) -> [u64; 8] {
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq`.
+    #[inline(always)]
+    unsafe fn m4(a: &[u64], b: &[u64]) -> [u64; 8] {
         let p0 = m2(a[0], a[1], b[0], b[1]);
         let p1 = m2(a[2], a[3], b[2], b[3]);
         let pm = m2(a[0] ^ a[2], a[1] ^ a[3], b[0] ^ b[2], b[1] ^ b[3]);
@@ -166,9 +148,12 @@ mod x86 {
     }
 
     /// 5×5 words, split (3, 2): 17 multiplies instead of 25.
-    #[inline]
-    #[target_feature(enable = "pclmulqdq")]
-    fn m5(a: &[u64], b: &[u64]) -> [u64; 10] {
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq`.
+    #[inline(always)]
+    unsafe fn m5(a: &[u64], b: &[u64]) -> [u64; 10] {
         let p0 = m3(&a[..3], &b[..3]);
         let p1 = m2(a[3], a[4], b[3], b[4]);
         let sa = [a[0] ^ a[3], a[1] ^ a[4], a[2]];
@@ -184,14 +169,14 @@ mod x86 {
         out
     }
 
-    /// Width-dispatched Karatsuba product of the low `nw` words.
+    /// Karatsuba product of the low `nw` words. The fused callers pass
+    /// the field's constant width, so the dispatch folds away.
     ///
     /// # Safety
     ///
-    /// The CPU must support `pclmulqdq` (checked by the caller via
-    /// [`super::hardware_available`]).
-    #[target_feature(enable = "pclmulqdq")]
-    pub(super) unsafe fn clmul_wide(
+    /// The CPU must support `pclmulqdq`.
+    #[inline(always)]
+    pub(super) unsafe fn product(
         a: &[u64; LIMBS],
         b: &[u64; LIMBS],
         nw: usize,
@@ -215,10 +200,9 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// The CPU must support `pclmulqdq` (checked by the caller via
-    /// [`super::hardware_available`]).
-    #[target_feature(enable = "pclmulqdq")]
-    pub(super) unsafe fn clsquare_wide(a: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
+    /// The CPU must support `pclmulqdq`.
+    #[inline(always)]
+    pub(super) unsafe fn square_product(a: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
         let mut out = [0u64; PROD_LIMBS];
         for (i, &w) in a.iter().take(nw).enumerate() {
             let (lo, hi) = cl(w, w);
@@ -227,12 +211,44 @@ mod x86 {
         }
         out
     }
+
+    /// Fused field multiplication: Karatsuba product and reduction in
+    /// one feature region, at `F`'s compile-time width.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq` (checked by the caller via
+    /// [`super::hardware_available`]).
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) unsafe fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F> {
+        // lint: hot-path — the per-op kernel under every ladder step.
+        let prod = product(a.limbs(), b.limbs(), F::M.div_ceil(64));
+        Element::from_raw_limbs(limbs::reduce_fast::<F>(prod))
+        // lint: hot-path-end
+    }
+
+    /// Fused field squaring, same contract as [`mul`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq` (checked by the caller via
+    /// [`super::hardware_available`]).
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) unsafe fn square<F: FieldSpec>(a: &Element<F>) -> Element<F> {
+        // lint: hot-path
+        let prod = square_product(a.limbs(), F::M.div_ceil(64));
+        Element::from_raw_limbs(limbs::reduce_fast::<F>(prod))
+        // lint: hot-path-end
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::ModelBackend;
+    use crate::fields::{F163, F17, F233, F283};
     use crate::limbs;
+    use crate::LIMBS;
 
     fn rng_from(seed: u64) -> impl FnMut() -> u64 {
         let mut s = seed;
@@ -253,21 +269,8 @@ mod tests {
         v
     }
 
-    #[test]
-    fn portable_primitive_matches_reference_comb() {
-        let mut r = rng_from(31);
-        for _ in 0..64 {
-            let a = random_limbs(&mut r, 1);
-            let b = random_limbs(&mut r, 1);
-            let (lo, hi) = cl_portable(a[0], b[0]);
-            let reference = limbs::clmul(&a, &b);
-            assert_eq!([lo, hi], [reference[0], reference[1]]);
-        }
-        assert_eq!(cl_portable(0, u64::MAX), (0, 0));
-        assert_eq!(cl_portable(u64::MAX, 1), (u64::MAX, 0));
-        assert_eq!(cl_portable(1 << 63, 1 << 63), (0, 1 << 62));
-    }
-
+    /// The portable fallback's wide product (the fast comb) at every
+    /// operand width, against the reference comb.
     #[test]
     fn portable_wide_matches_reference_all_widths() {
         let mut r = rng_from(32);
@@ -276,9 +279,14 @@ mod tests {
                 let a = random_limbs(&mut r, nw);
                 let b = random_limbs(&mut r, nw);
                 assert_eq!(
-                    clmul_wide_portable(&a, &b, nw),
+                    limbs::clmul_fast(&a, &b, nw),
                     limbs::clmul(&a, &b),
                     "nw={nw}"
+                );
+                assert_eq!(
+                    limbs::clsquare_fast(&a, nw),
+                    limbs::clsquare(&a),
+                    "square nw={nw}"
                 );
             }
         }
@@ -297,9 +305,10 @@ mod tests {
                 let a = random_limbs(&mut r, nw);
                 let b = random_limbs(&mut r, nw);
                 // SAFETY: feature detected above.
-                let hw = unsafe { x86::clmul_wide(&a, &b, nw) };
+                let hw = unsafe { x86::product(&a, &b, nw) };
                 assert_eq!(hw, limbs::clmul(&a, &b), "nw={nw}");
-                let sq = unsafe { x86::clsquare_wide(&a, nw) };
+                // SAFETY: feature detected above.
+                let sq = unsafe { x86::square_product(&a, nw) };
                 assert_eq!(sq, limbs::clsquare(&a), "square nw={nw}");
             }
             // Saturated operands stress every carry path in the split.
@@ -310,19 +319,27 @@ mod tests {
                 }
                 v
             };
-            let hw = unsafe { x86::clmul_wide(&ones, &ones, nw) };
+            // SAFETY: feature detected above.
+            let hw = unsafe { x86::product(&ones, &ones, nw) };
             assert_eq!(hw, limbs::clmul(&ones, &ones), "saturated nw={nw}");
+        }
+    }
+
+    fn fused_matches_model<F: FieldSpec>(seed: u64) {
+        let mut r = rng_from(seed);
+        for _ in 0..64 {
+            let a = Element::<F>::random(&mut r);
+            let b = Element::<F>::random(&mut r);
+            assert_eq!(mul(&a, &b), ModelBackend::mul(&a, &b), "{}", F::NAME);
+            assert_eq!(square(&a), ModelBackend::square(&a), "{}", F::NAME);
         }
     }
 
     #[test]
     fn accel_entry_points_match_reference() {
-        let mut r = rng_from(34);
-        for nw in 1..=LIMBS {
-            let a = random_limbs(&mut r, nw);
-            let b = random_limbs(&mut r, nw);
-            assert_eq!(clmul_accel(&a, &b, nw), limbs::clmul(&a, &b));
-            assert_eq!(clsquare_accel(&a, nw), limbs::clsquare(&a));
-        }
+        fused_matches_model::<F17>(34);
+        fused_matches_model::<F163>(35);
+        fused_matches_model::<F233>(36);
+        fused_matches_model::<F283>(37);
     }
 }

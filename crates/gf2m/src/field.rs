@@ -74,14 +74,41 @@ impl std::error::Error for ParseElementError {}
 impl<F: FieldSpec> Element<F> {
     /// The additive identity.
     #[inline]
-    pub fn zero() -> Self {
+    pub const fn zero() -> Self {
         Self::from_raw([0; LIMBS])
     }
 
     /// The multiplicative identity.
     #[inline]
-    pub fn one() -> Self {
-        Self::from_u64(1)
+    pub const fn one() -> Self {
+        let mut limbs = [0; LIMBS];
+        limbs[0] = 1;
+        Self::from_raw(limbs)
+    }
+
+    /// Element from limbs that are already canonical (every bit at or
+    /// above m clear), usable in `const` items — how curve parameters
+    /// become compile-time constants instead of strings parsed per
+    /// call.
+    ///
+    /// # Panics
+    ///
+    /// Panics (at compile time, in a `const`) if a bit at or above m
+    /// is set.
+    pub const fn from_canonical_limbs(limbs: [u64; LIMBS]) -> Self {
+        let mut i = 0;
+        while i < LIMBS {
+            let high = if 64 * i >= F::M {
+                limbs[i]
+            } else if 64 * (i + 1) <= F::M {
+                0
+            } else {
+                limbs[i] >> (F::M - 64 * i)
+            };
+            assert!(high == 0, "limbs are not a canonical field element");
+            i += 1;
+        }
+        Self::from_raw(limbs)
     }
 
     /// Element from the low 64 bits (must already be reduced if m < 64).
@@ -95,7 +122,7 @@ impl<F: FieldSpec> Element<F> {
     }
 
     #[inline]
-    fn from_raw(limbs: [u64; LIMBS]) -> Self {
+    const fn from_raw(limbs: [u64; LIMBS]) -> Self {
         Self {
             limbs,
             _field: PhantomData,
@@ -498,6 +525,20 @@ mod tests {
             Element::<F163>::from_hex(&too_big),
             Err(ParseElementError::Overflow { degree: 163 })
         ));
+    }
+
+    #[test]
+    fn canonical_limbs_constructor_checks_the_degree() {
+        const X: Element<F17> = Element::from_canonical_limbs([0x1_ffff, 0, 0, 0, 0]);
+        assert_eq!(X, Element::from_u64(0x1_ffff));
+        assert_eq!(Element::<F163>::one(), Element::from_u64(1));
+        let top = std::panic::catch_unwind(|| {
+            Element::<F17>::from_canonical_limbs([1 << 17, 0, 0, 0, 0])
+        });
+        assert!(top.is_err());
+        let high_limb =
+            std::panic::catch_unwind(|| Element::<F163>::from_canonical_limbs([0, 0, 0, 1, 0]));
+        assert!(high_limb.is_err());
     }
 
     #[test]

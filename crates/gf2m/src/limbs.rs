@@ -4,6 +4,7 @@
 //! GF(2) are stored with bit *i* of the array representing the coefficient
 //! of x^i.
 
+use crate::field::FieldSpec;
 use crate::{LIMBS, PROD_LIMBS};
 
 /// XOR-accumulate `src` into `dst` (polynomial addition over GF(2)).
@@ -238,54 +239,78 @@ pub fn clsquare_fast(a: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
     out
 }
 
-/// Word-level reduction modulo a sparse (trinomial/pentanomial)
-/// polynomial — the fast backend's counterpart of the bit-serial
-/// [`reduce`]. Folds 64 bits at a time: every word above the degree-m
-/// boundary is replaced by copies of itself shifted down by `m − e` for
-/// each tail exponent `e`.
+/// Word-level reduction of a carry-less product modulo `F`'s sparse
+/// (trinomial/pentanomial) polynomial — the serving backends'
+/// counterpart of the bit-serial [`reduce`]. `prod` must have degree
+/// at most 2m − 2, i.e. be the product or square of canonical elements.
 ///
-/// Folding a word can reintroduce bits at or above position m when
-/// `m − e < 64` (e.g. the toy trinomial x¹⁷+x³+1), so both the whole-word
-/// pass and the final partial-word pass loop until the region is clear;
-/// every fold strictly lowers the top degree, so the loops terminate.
-pub fn reduce_fast(mut prod: [u64; PROD_LIMBS], reduction: &[usize]) -> [u64; LIMBS] {
-    let m = reduction[0];
-    debug_assert!(reduction.windows(2).all(|w| w[0] > w[1]));
-    let mw = m / 64;
-    let mb = m % 64;
-    // Whole words strictly above the word holding bit m.
-    let mut i = PROD_LIMBS - 1;
-    while i > mw {
-        while prod[i] != 0 {
+/// Generic over the field, so m, the product width and every tap are
+/// compile-time constants: each field gets its own straight-line fold
+/// sequence, with no loop whose trip count depends on the operands.
+/// The schedule depends only on the field's shape:
+///
+/// * **m − e ≥ 64** for the largest tail exponent e (F163, F233,
+///   F283): every fold of a whole word lands at least one word lower,
+///   so one descending pass over the words above the boundary word,
+///   then one fold of the boundary word's bits ≥ m, settles it.
+/// * **m ≤ 64** (the toy F17): the product fits a `u128`, and a fixed
+///   ⌈(m−1)/(m−e)⌉ passes of "fold everything ≥ m" suffice, since each
+///   pass lowers the top degree by at least m − e.
+///
+/// Any other shape fails to compile.
+#[inline(always)]
+pub(crate) fn reduce_fast<F: FieldSpec>(mut prod: [u64; PROD_LIMBS]) -> [u64; LIMBS] {
+    // lint: hot-path — one straight-line fold sequence per field, in
+    // registers.
+    const {
+        assert!(
+            F::M - F::REDUCTION[1] >= 64 || F::M <= 64,
+            "reduce_fast needs m - e >= 64 or m <= 64"
+        );
+        assert!(F::M < 64 * LIMBS, "field wider than an element");
+    }
+    let m = F::M;
+    let taps = &F::REDUCTION[1..];
+    let top = (2 * m - 2) / 64;
+    debug_assert!(prod[top + 1..].iter().all(|&w| w == 0));
+    if m <= 64 {
+        let mut p = u128::from(prod[0]) | (u128::from(prod[1]) << 64);
+        for _ in 0..(m - 1).div_ceil(m - taps[0]) {
+            let t = p >> m;
+            p &= (1u128 << m) - 1;
+            for &e in taps {
+                p ^= t << e;
+            }
+        }
+        prod[0] = p as u64;
+        prod[1] = 0;
+    } else {
+        let (mw, mb) = (m / 64, m % 64);
+        // Whole words above the boundary word, highest first:
+        // x^(64·i + j) ≡ Σ_e x^(64·i + j − m + e), and 64·i − m + e ≤
+        // 64·(i − 1), so no fold reaches word i or above.
+        for i in (mw + 1..top + 1).rev() {
             let w = prod[i];
             prod[i] = 0;
-            for &e in &reduction[1..] {
-                // x^(64·i + j) ≡ x^(64·i + j − m + e)
+            for &e in taps {
                 let base = 64 * i + e - m;
-                let wi = base / 64;
-                let sh = base % 64;
+                let (wi, sh) = (base / 64, base % 64);
                 prod[wi] ^= w << sh;
                 if sh != 0 {
                     prod[wi + 1] ^= w >> (64 - sh);
                 }
             }
         }
-        i -= 1;
-    }
-    // Bits ≥ m inside the boundary word.
-    let low_mask = (1u64 << mb).wrapping_sub(1);
-    loop {
+        // Bits ≥ m inside the boundary word: x^(m + j) ≡ Σ_e x^(e + j).
+        // `t` has 64 − mb bits, so it spills into the next word only
+        // when sh > mb; the highest landing bit, e + 63 − mb, lies below
+        // 64·mw.
         let t = prod[mw] >> mb;
-        if t == 0 {
-            break;
-        }
-        prod[mw] &= low_mask;
-        for &e in &reduction[1..] {
-            // x^(m + j) ≡ x^(j + e): place t at bit offset e.
-            let wi = e / 64;
-            let sh = e % 64;
+        prod[mw] &= (1u64 << mb).wrapping_sub(1);
+        for &e in taps {
+            let (wi, sh) = (e / 64, e % 64);
             prod[wi] ^= t << sh;
-            if sh != 0 {
+            if sh > mb {
                 prod[wi + 1] ^= t >> (64 - sh);
             }
         }
@@ -293,6 +318,7 @@ pub fn reduce_fast(mut prod: [u64; PROD_LIMBS], reduction: &[usize]) -> [u64; LI
     let mut out = [0u64; LIMBS];
     out.copy_from_slice(&prod[..LIMBS]);
     out
+    // lint: hot-path-end
 }
 
 /// Reduce a `PROD_LIMBS`-wide polynomial modulo the sparse polynomial whose
@@ -325,6 +351,7 @@ pub fn reduce(mut prod: [u64; PROD_LIMBS], reduction: &[usize]) -> [u64; LIMBS] 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fields::{F163, F17, F233, F283};
 
     #[test]
     fn shl_words_and_bits() {
@@ -395,35 +422,58 @@ mod tests {
         assert_eq!(r[0], 0b101);
     }
 
-    #[test]
-    fn fast_primitives_match_model_primitives() {
-        let a = [0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210, 0x7, 0, 0];
-        let b = [0xdead_beef_cafe_f00d, 0x1234_5678_9abc_def0, 0x5, 0, 0];
-        assert_eq!(clmul_fast(&a, &b, 3), clmul(&a, &b));
-        assert_eq!(clsquare_fast(&a, 3), clsquare(&a));
-        for reduction in [
-            &[163usize, 7, 6, 3, 0][..],
-            &[233, 74, 0][..],
-            &[283, 12, 7, 5, 0][..],
-            &[17, 3, 0][..],
-        ] {
-            let p = clmul(&a, &b);
-            assert_eq!(
-                reduce_fast(p, reduction),
-                reduce(p, reduction),
-                "reduction {reduction:?}"
-            );
+    /// The low m bits of `v`: a canonical element of `F`.
+    fn canonical<F: FieldSpec>(v: [u64; LIMBS]) -> [u64; LIMBS] {
+        let mut words = v.into_iter();
+        *crate::Element::<F>::random(|| words.next().unwrap_or(0)).limbs()
+    }
+
+    fn fast_matches_model<F: FieldSpec>(a: [u64; LIMBS], b: [u64; LIMBS]) {
+        let (a, b) = (canonical::<F>(a), canonical::<F>(b));
+        let nw = F::M.div_ceil(64);
+        assert_eq!(clmul_fast(&a, &b, nw), clmul(&a, &b), "{}", F::NAME);
+        assert_eq!(clsquare_fast(&a, nw), clsquare(&a), "{}", F::NAME);
+        for p in [clmul(&a, &b), clsquare(&a)] {
+            assert_eq!(reduce_fast::<F>(p), reduce(p, F::REDUCTION), "{}", F::NAME);
         }
     }
 
     #[test]
+    fn fast_primitives_match_model_primitives() {
+        let a = [
+            0x0123_4567_89ab_cdef,
+            0xfedc_ba98_7654_3210,
+            0x7,
+            0x5a5a,
+            0x3,
+        ];
+        let b = [
+            0xdead_beef_cafe_f00d,
+            0x1234_5678_9abc_def0,
+            0x5,
+            0xa5a5,
+            0x1,
+        ];
+        fast_matches_model::<F17>(a, b);
+        fast_matches_model::<F163>(a, b);
+        fast_matches_model::<F233>(a, b);
+        fast_matches_model::<F283>(a, b);
+        let ones = [u64::MAX; LIMBS];
+        fast_matches_model::<F17>(ones, ones);
+        fast_matches_model::<F163>(ones, ones);
+        fast_matches_model::<F233>(ones, ones);
+        fast_matches_model::<F283>(ones, ones);
+    }
+
+    #[test]
     fn reduce_fast_toy_field_refolds_high_bits() {
-        // F(2^17): folding word 1 lands back inside word 0 above bit 17,
-        // exercising the refold loops.
+        // F(2^17): the first fold of a degree-32 product lands back at
+        // or above bit 17, so the second fixed pass must clear it.
         let mut p = [0u64; PROD_LIMBS];
-        p[1] = u64::MAX;
-        p[0] = u64::MAX;
-        assert_eq!(reduce_fast(p, &[17, 3, 0]), reduce(p, &[17, 3, 0]));
+        p[0] = (1 << 33) - 1;
+        assert_eq!(reduce_fast::<F17>(p), reduce(p, F17::REDUCTION));
+        p[0] = 1 << 32;
+        assert_eq!(reduce_fast::<F17>(p), reduce(p, F17::REDUCTION));
     }
 
     #[test]

@@ -240,7 +240,7 @@ mod x86 {
                 _mm512_mask_storeu_epi64(prod.as_mut_ptr().add(LANES * t).cast(), 0x0f, *pt);
             }
             let mut red = [0u64; LANES * LIMBS];
-            crate::batch::reduce_planes(&mut prod, &mut red, reduction);
+            crate::batch::reduce_planes::<F>(&mut prod, &mut red);
             for j in 0..LIMBS {
                 out[j * n + base..j * n + base + LANES]
                     .copy_from_slice(&red[LANES * j..LANES * (j + 1)]);

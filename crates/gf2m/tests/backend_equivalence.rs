@@ -7,9 +7,10 @@
 //! field the equivalence is **exhaustive**, on the NIST fields it is
 //! property-based, and the digit-serial MALU model is cross-checked
 //! against all of them. The CLMUL backend is exercised on whatever
-//! primitive the host resolves to (hardware `PCLMULQDQ` where detected,
-//! the portable shift-and-add fallback elsewhere) — both must be
-//! bit-exact against the model.
+//! path the host resolves to (the fused hardware `PCLMULQDQ` kernel
+//! where detected, the `FastBackend` comb elsewhere) — both must be
+//! bit-exact against the model, and the basis oracle below also calls
+//! the portable path directly on every host.
 
 use medsec_gf2m::digit_serial::mul_digit_serial;
 use medsec_gf2m::{
@@ -374,4 +375,103 @@ proptest! {
             }
         }
     }
+}
+
+/// `x^i` as an element of `F` (`i < m`).
+fn monomial<F: FieldSpec>(i: usize) -> Element<F> {
+    let mut limbs = [0u64; LIMBS];
+    limbs[i / 64] = 1 << (i % 64);
+    Element::from_limbs_reduced(limbs)
+}
+
+/// The element with all m bits set.
+fn saturated<F: FieldSpec>() -> Element<F> {
+    Element::random(|| u64::MAX)
+}
+
+/// Basis-exhaustive reduction oracle: every power `x^i`, `i ≤ 2m − 2`,
+/// formed as a product of two monomials (both splits) and, for even
+/// `i`, as the square of `x^(i/2)`. The reduction is F₂-linear, so
+/// agreeing with the model on every basis product means agreeing on
+/// every product. `FastBackend` is the portable fused path that
+/// `ClmulBackend` falls back to without `PCLMULQDQ`, so calling it here
+/// pins that path on hosts whose detection never reaches it. Saturated
+/// operands (all m bits set) stress every carry of the Karatsuba split,
+/// and the same pairs run through every backend's batch entry points.
+fn assert_basis_products_match_model<F: FieldSpec>() {
+    let m = F::M;
+    let mut xs = Vec::new();
+    let mut ys = Vec::new();
+    for i in 0..=2 * m - 2 {
+        let (j, k) = (i.min(m - 1), i - i.min(m - 1));
+        let (a, b) = (monomial::<F>(j), monomial::<F>(k));
+        let model = ModelBackend::mul(&a, &b);
+        assert_eq!(ClmulBackend::mul(&a, &b), model, "{} clmul x^{i}", F::NAME);
+        assert_eq!(ClmulBackend::mul(&b, &a), model, "{} clmul x^{i}", F::NAME);
+        assert_eq!(FastBackend::mul(&a, &b), model, "{} fast x^{i}", F::NAME);
+        assert_eq!(FastBackend::mul(&b, &a), model, "{} fast x^{i}", F::NAME);
+        if i % 2 == 0 {
+            let h = monomial::<F>(i / 2);
+            let model = ModelBackend::square(&h);
+            assert_eq!(
+                ClmulBackend::square(&h),
+                model,
+                "{} clmul sqr x^{i}",
+                F::NAME
+            );
+            assert_eq!(FastBackend::square(&h), model, "{} fast sqr x^{i}", F::NAME);
+        }
+        xs.push(a);
+        ys.push(b);
+    }
+    let ones = saturated::<F>();
+    assert_eq!(ones.degree(), Some(m - 1));
+    let model = ModelBackend::mul(&ones, &ones);
+    assert_eq!(
+        ClmulBackend::mul(&ones, &ones),
+        model,
+        "{} saturated",
+        F::NAME
+    );
+    assert_eq!(
+        FastBackend::mul(&ones, &ones),
+        model,
+        "{} saturated",
+        F::NAME
+    );
+    assert_eq!(
+        ClmulBackend::square(&ones),
+        model,
+        "{} saturated sqr",
+        F::NAME
+    );
+    assert_eq!(
+        FastBackend::square(&ones),
+        model,
+        "{} saturated sqr",
+        F::NAME
+    );
+    xs.push(ones);
+    ys.push(ones);
+    assert_batch_matches_model(&xs, &ys);
+}
+
+#[test]
+fn basis_products_match_model_f17() {
+    assert_basis_products_match_model::<F17>();
+}
+
+#[test]
+fn basis_products_match_model_f163() {
+    assert_basis_products_match_model::<F163>();
+}
+
+#[test]
+fn basis_products_match_model_f233() {
+    assert_basis_products_match_model::<F233>();
+}
+
+#[test]
+fn basis_products_match_model_f283() {
+    assert_basis_products_match_model::<F283>();
 }
